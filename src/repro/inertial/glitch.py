@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import CharacterizationError, MeasurementError, ModelError
 from ..gates import Gate
@@ -36,6 +35,7 @@ from ..units import parse_quantity
 from ..waveform import Edge, FALL, RISE, Pwl, Thresholds, opposite
 from ..charlib.cache import CharacterizationCache, default_cache
 from ..charlib.simulate import estimate_settle_time, single_input_response
+from ..models.grid import ClampedTrilinear
 
 __all__ = [
     "GlitchShot",
@@ -234,7 +234,8 @@ class GlitchGrid:
 
 
 class TableGlitchModel:
-    """Normalized glitch extremum ``V_ext/Vdd`` on a 3-D grid."""
+    """Normalized glitch extremum ``V_ext/Vdd`` on a 3-D grid, queried
+    hull-clamped (:class:`~repro.models.grid.ClampedTrilinear`)."""
 
     def __init__(self, causing: str, blocking: str,
                  axes: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -245,23 +246,15 @@ class TableGlitchModel:
         self.table = np.asarray(table, dtype=float)
         self.vdd = float(vdd)
         self.output_direction = output_direction
-        if self.table.shape != tuple(len(a) for a in self.axes):
-            raise ModelError("glitch table shape does not match axes")
-        self._interp = RegularGridInterpolator(
-            self.axes, self.table, method="linear", bounds_error=False,
-            fill_value=None,
-        )
-        self._lows = np.array([a[0] for a in self.axes])
-        self._highs = np.array([a[-1] for a in self.axes])
+        self._interp = ClampedTrilinear(self.axes, self.table)
 
     def extremum(self, tau_causing: float, tau_blocking: float, sep: float, *,
                  delta1: float) -> float:
         """Predicted extremum voltage (volts)."""
         if delta1 <= 0.0:
             raise ModelError(f"delta1 must be positive, got {delta1}")
-        point = np.array([tau_causing / delta1, tau_blocking / delta1, sep / delta1])
-        point = np.minimum(np.maximum(point, self._lows), self._highs)
-        return float(self._interp(point[None, :])[0]) * self.vdd
+        return self._interp(tau_causing / delta1, tau_blocking / delta1,
+                            sep / delta1) * self.vdd
 
     def to_payload(self) -> dict:
         return {

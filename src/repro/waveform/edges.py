@@ -11,6 +11,7 @@ a circuit simulation needs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -66,6 +67,9 @@ class Edge:
         reference point for both delays and separations.
     tau:
         Full-swing (rail-to-rail) transition time in seconds.
+
+    Both times must be finite and ``tau`` positive; anything else raises
+    :class:`~repro.errors.MeasurementError`.
     """
 
     direction: str
@@ -76,6 +80,10 @@ class Edge:
         object.__setattr__(self, "direction", normalize_direction(self.direction))
         object.__setattr__(self, "t_cross", parse_quantity(self.t_cross, unit="s"))
         object.__setattr__(self, "tau", parse_quantity(self.tau, unit="s"))
+        if not (math.isfinite(self.t_cross) and math.isfinite(self.tau)):
+            raise MeasurementError(
+                f"edge crossing time and transition time must be finite, "
+                f"got t_cross={self.t_cross}, tau={self.tau}")
         if self.tau <= 0.0:
             raise MeasurementError(f"edge transition time must be positive, got {self.tau}")
 

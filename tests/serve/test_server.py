@@ -146,6 +146,20 @@ class TestMalformedRequests:
         assert excinfo.value.status == 400
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize("edge", [
+        {"input": "a", "direction": "fall", "tau": float("nan")},
+        {"input": "a", "direction": "fall", "tau": "500ps",
+         "at": float("nan")},
+        {"input": "a", "direction": "fall", "tau": float("inf")},
+    ])
+    def test_non_finite_edge_is_400(self, client, edge):
+        # Python's json writes (and the server's json reads) NaN and
+        # Infinity; such an edge must be refused, not answered with NaN.
+        with pytest.raises(ServeError) as excinfo:
+            client.delay({"gate": "nand3", "edges": [edge]})
+        assert excinfo.value.status == 400
+        assert "finite" in str(excinfo.value)
+
     def test_unknown_endpoint_is_404(self, client):
         status, _, _ = client.request("GET", "/nope")
         assert status == 404

@@ -40,6 +40,15 @@ class TestEdge:
         with pytest.raises(MeasurementError):
             Edge(RISE, 0.0, -1e-12)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(MeasurementError, match="finite"):
+            Edge(FALL, 0.0, bad)
+        with pytest.raises(MeasurementError, match="finite"):
+            Edge(FALL, bad, 1e-10)
+        with pytest.raises(MeasurementError, match="finite"):
+            Edge(FALL, 0.0, 1e-10).shifted(bad)
+
     def test_shifted(self):
         edge = Edge(FALL, 1e-9, 1e-10).shifted(5e-10)
         assert edge.t_cross == pytest.approx(1.5e-9)
