@@ -1,4 +1,4 @@
-"""Newton core: vectorized assembly speedup + fast-Newton tradeoff.
+"""Newton core: vectorized assembly speedup.
 
 The solver-core claim of the compiled stamp plan: the per-iteration
 assembly the scalar transient engine runs (cap-companion stamps, the
@@ -8,28 +8,17 @@ pre-plan scalar loop -- which is kept in-tree verbatim as
 pre-refactor engine -- while staying *bit-identical* to it.
 
 ``BENCH_newton_core.json`` records both per-assembly times and the
-speedup ratio, plus the opt-in ``REPRO_FAST_NEWTON`` transient mode's
-wall time and worst waveform deviation against default full Newton
-(tolerance-gated, documented honestly: on single-gate circuits its
-polish iteration can outweigh the factorizations it saves; the win is
-in factorization count as systems grow).
+speedup ratio.
 """
 
-import os
 import time
 
 import numpy as np
 
 from repro.gates import Gate
-from repro.spice import TransientOptions, transient
-from repro.spice.engine import (
-    FAST_NEWTON_ENV_VAR,
-    assemble_system,
-    assemble_system_reference,
-)
+from repro.spice.engine import assemble_system, assemble_system_reference
 from repro.spice.stamps import assemble_into, load_solve
 from repro.tech import default_process
-from repro.waveform import ramp
 
 from conftest import scaled
 
@@ -115,57 +104,3 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
     # The committed baseline records >=2x; the live assertion leaves
     # headroom for noisy shared runners.
     assert speedup >= 1.5
-
-
-def test_fast_newton_transient_tradeoff(benchmark, request):
-    gate = Gate.nand(3, default_process(), load=100e-15)
-    proc = default_process()
-
-    def bench_circuit():
-        return gate.build({
-            "a": ramp(0.5e-9, 0.0, proc.vdd, 0.3e-9),
-            "b": proc.vdd,
-            "c": proc.vdd,
-        })
-
-    options = TransientOptions()
-    t_stop = 2e-9
-
-    prior = os.environ.get(FAST_NEWTON_ENV_VAR)
-    os.environ.pop(FAST_NEWTON_ENV_VAR, None)
-    try:
-        t0 = time.perf_counter()
-        base = benchmark.pedantic(
-            lambda: transient(bench_circuit(), t_stop, options=options),
-            rounds=1, iterations=1)
-        base_s = time.perf_counter() - t0
-
-        os.environ[FAST_NEWTON_ENV_VAR] = "1"
-        t0 = time.perf_counter()
-        fast = transient(bench_circuit(), t_stop, options=options)
-        fast_s = time.perf_counter() - t0
-    finally:
-        if prior is None:
-            os.environ.pop(FAST_NEWTON_ENV_VAR, None)
-        else:
-            os.environ[FAST_NEWTON_ENV_VAR] = prior
-
-    grid = np.linspace(0.0, t_stop, 400)
-    deviation = float(np.abs(base.node(gate.output)(grid)
-                             - fast.node(gate.output)(grid)).max())
-    print(f"\ndefault {base_s:.3f}s ({base.newton_iterations} iters), "
-          f"fast-newton {fast_s:.3f}s ({fast.newton_iterations} iters), "
-          f"max |dV| {deviation:.2e} V")
-    request.node.bench_extra = {
-        "default_seconds": base_s,
-        "fast_seconds": fast_s,
-        "default_iterations": base.newton_iterations,
-        "fast_iterations": fast.newton_iterations,
-        "max_waveform_deviation_v": deviation,
-    }
-
-    # The tolerance gate, not a speed gate: correctness within 1 nV and
-    # unchanged retry health are the contract.
-    assert deviation <= 1e-9
-    assert fast.solver_retries == base.solver_retries
-    assert fast.newton_failures == base.newton_failures

@@ -1,20 +1,20 @@
-"""Batched sparse Newton kernel vs the serial per-lane fallback.
+"""Batched sparse Newton kernel vs the scalar sparse driver per lane.
 
-The tentpole claim of :mod:`repro.spice.sparse_batch`: when a batch of
-congruent lanes dispatches to the sparse backend, sharing one symbolic
-analysis -- one RCM ordering, one CSC pattern, one stamp-plan
-compilation -- beats running the lanes serially through the scalar
-sparse solver, which pays the full per-circuit setup once *per lane*.
-``REPRO_SPARSE_BATCH=0`` restores that serial fallback, so both legs
-run through the same public entry points and the ratio isolates the
-kernel swap.  Two records:
+The claim of the lockstep kernel's sparse backend
+(:mod:`repro.spice.batch`): when a batch of congruent lanes dispatches
+to the sparse backend, sharing one symbolic analysis -- one RCM
+ordering, one CSC pattern, one stamp-plan compilation -- beats running
+the lanes serially through the scalar sparse solver, which pays the
+full per-circuit setup once *per lane*.  The serial leg calls the
+scalar driver (``solve_dc``/``transient``) lane by lane, so the ratio
+isolates the kernel.  Two records:
 
 * ``test_characterization_shot_speedup`` -- the acceptance gate.  The
   serve/characterization "shot" pattern: every batch arrives as 16
   freshly parameterized congruent circuits (a bitcell array at 512
   unknowns with per-lane storage patterns), solved for their operating
   point.  Per-lane solve work is a handful of Newton iterations, so
-  the serial fallback's per-lane symbolic analysis and stamp-plan
+  the serial leg's per-lane symbolic analysis and stamp-plan
   compilation dominate; the batched kernel amortizes them across the
   batch.  The committed baseline records ~4.9x; the live assertion
   gates >=2x, leaving headroom for noisy shared runners (the
@@ -32,14 +32,13 @@ kernel swap.  Two records:
 Both legs run at batch 16 on a >=500-unknown circuit.
 """
 
-import os
 import time
 
 import numpy as np
 
+from repro.spice import solve_dc, transient
 from repro.spice.batch import solve_dc_batch, transient_batch
 from repro.spice.builders import bitcell_array
-from repro.spice.sparse_batch import SPARSE_BATCH_ENV_VAR
 
 from conftest import scaled
 
@@ -57,36 +56,31 @@ def fresh_lanes():
     return lanes
 
 
-def run_legs(solve, reps):
+def run_legs(batched, scalar, reps):
     """Best-of-``reps`` wall seconds for the batched and serial legs.
 
-    Lane construction happens outside the timed region -- both legs
-    pay it identically -- but plan compilation happens *inside*: the
-    lanes are fresh per repetition, exactly like a characterization
-    batch, and per-lane plan setup vs one shared setup is the point.
+    ``batched`` takes the whole lane list, ``scalar`` one lane; the
+    serial leg maps it over the lanes.  Lane construction happens
+    outside the timed region -- both legs pay it identically -- but
+    plan compilation happens *inside*: the lanes are fresh per
+    repetition, exactly like a characterization batch, and per-lane
+    plan setup vs one shared setup is the point.
     """
-    prior = os.environ.get(SPARSE_BATCH_ENV_VAR)
-    try:
-        timings = {}
-        results = {}
-        for leg, env in (("batched", None), ("serial", "0")):
-            if env is None:
-                os.environ.pop(SPARSE_BATCH_ENV_VAR, None)
-            else:
-                os.environ[SPARSE_BATCH_ENV_VAR] = env
-            best = np.inf
-            for _ in range(reps):
-                lanes = fresh_lanes()
-                start = time.perf_counter()
-                results[leg] = solve(lanes)
-                best = min(best, time.perf_counter() - start)
-            timings[leg] = best
-        return timings, results
-    finally:
-        if prior is None:
-            os.environ.pop(SPARSE_BATCH_ENV_VAR, None)
-        else:
-            os.environ[SPARSE_BATCH_ENV_VAR] = prior
+    legs = {
+        "batched": batched,
+        "serial": lambda lanes: [scalar(lane) for lane in lanes],
+    }
+    timings = {}
+    results = {}
+    for leg, solve in legs.items():
+        best = np.inf
+        for _ in range(reps):
+            lanes = fresh_lanes()
+            start = time.perf_counter()
+            results[leg] = solve(lanes)
+            best = min(best, time.perf_counter() - start)
+        timings[leg] = best
+    return timings, results
 
 
 def test_characterization_shot_speedup(benchmark, request):
@@ -96,7 +90,7 @@ def test_characterization_shot_speedup(benchmark, request):
 
     def run_case():
         holder["timings"], holder["results"] = run_legs(
-            solve_dc_batch, reps)
+            solve_dc_batch, solve_dc, reps)
 
     benchmark.pedantic(run_case, rounds=1, iterations=1)
     timings, results = holder["timings"], holder["results"]
@@ -132,7 +126,8 @@ def test_lockstep_transient_throughput(benchmark, request):
 
     def run_case():
         holder["timings"], holder["results"] = run_legs(
-            lambda lanes: transient_batch(lanes, horizon), reps)
+            lambda lanes: transient_batch(lanes, horizon),
+            lambda lane: transient(lane, horizon), reps)
 
     benchmark.pedantic(run_case, rounds=1, iterations=1)
     timings, results = holder["timings"], holder["results"]

@@ -112,11 +112,6 @@ def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
         help="resume interrupted/degraded sweeps from their progress "
              "journals, recomputing only missing points")
     parser.add_argument(
-        "--fast-newton", action="store_true",
-        help="opt-in modified-Newton mode (REPRO_FAST_NEWTON): reuse the "
-             "LU factorization across iterations and same-step timesteps; "
-             "faster, tolerance-gated rather than bit-identical")
-    parser.add_argument(
         "--sparse", choices=["auto", "0", "1"], default=None,
         help="linear-solver backend (REPRO_SPARSE): auto dispatches "
              "dense vs sparse SuperLU by unknown-node count, 1 forces "
@@ -142,7 +137,6 @@ def _apply_resilience_options(args: argparse.Namespace) -> None:
     from .parallel import BATCH_ENV_VAR, TIMEOUT_ENV_VAR
     from .resilience.retry import RETRY_ENV_VAR
     from .resilience.runtime import RESUME_ENV_VAR
-    from .spice.engine import FAST_NEWTON_ENV_VAR
     from .spice.guard import GUARD_ENV_VAR
     from .spice.sparse import SPARSE_ENV_VAR
 
@@ -154,8 +148,6 @@ def _apply_resilience_options(args: argparse.Namespace) -> None:
         os.environ[RESUME_ENV_VAR] = "1"
     if getattr(args, "batch", None) is not None:
         os.environ[BATCH_ENV_VAR] = str(args.batch)
-    if getattr(args, "fast_newton", False):
-        os.environ[FAST_NEWTON_ENV_VAR] = "1"
     if getattr(args, "sparse", None) is not None:
         os.environ[SPARSE_ENV_VAR] = args.sparse
     if getattr(args, "guard", False):

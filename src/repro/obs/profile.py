@@ -8,17 +8,19 @@ of each driver hangs on their ratio:
   ``gesv`` call fuses factorization and back-substitution, so the
   dense scalar loop's whole linear solve is attributed here),
 * ``back_solve``  -- triangular back-substitution (split out on the
-  sparse backend and in the LU-reusing fast-Newton mode),
+  sparse backend, scalar and batched),
 * ``scatter``     -- the batched kernel's per-round state writeback and
   convergence bookkeeping (zero on the scalar drivers, whose update is
   a single vector add),
 * ``guard``       -- the opt-in guard monitors: per-iteration checks
-  plus condition estimates (zero with ``REPRO_GUARD`` unset).
+  plus condition estimates, on every driver (zero with ``REPRO_GUARD``
+  unset and no lane fault armed).
 
 :class:`PhaseProfiler` records the per-solve (scalar drivers) or
 per-round (batched kernel) phase seconds into labelled histograms
 ``spice.phase.seconds{driver=...,phase=...}`` with ``driver`` one of
-``dense | sparse | batch``.  The accumulator object
+``dense | sparse | batch | sparse_batch`` (a lane evicted from a
+batch retries solo and books under ``dense``/``sparse``).  The accumulator object
 (:class:`PhaseTimes`) is a plain slotted float bag and the timing
 source is ``time.monotonic()``, so an instrumented iteration pays a
 handful of clock reads -- cheap enough that the live-telemetry bench

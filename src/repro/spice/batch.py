@@ -24,19 +24,22 @@ sequential ``F[a] += ...`` ordering per cell while staying fully
 vectorized.  Results are therefore bit-identical to the scalar path;
 ``tests/spice/test_batch_equivalence.py`` enforces this.
 
-Past the sparse cutover the same lockstep structure rides the batched
-sparse kernel instead (:mod:`repro.spice.sparse_batch`): congruent
-lanes share one :class:`~repro.spice.sparse.SparsePlan` symbolic
-analysis and the per-lane numeric work runs SuperLU on the shared CSC
-pattern -- bit-identical to the scalar sparse driver, dispatched here
-exactly like the dense kernel.
+There is one round function, :func:`_lockstep_round`.  Its only
+backend-specific part is the linear solve, hoisted into a two-method
+strategy: :class:`_DenseSolver` scatters the ``(B, n, n)`` stack and
+runs one LAPACK call over it; past the sparse cutover,
+:class:`_SparseSolver` scatters ``(B, nnz)`` CSC data rows over one
+shared :class:`~repro.spice.sparse.SparsePlan` symbolic analysis and
+runs SuperLU per lane on the shared pattern -- the scalar sparse
+backend's own calls on identical input, so lanes stay bit-identical to
+the scalar sparse driver (``tests/spice/test_sparse_batch_equivalence.py``).
+Guard checks, eviction, damping and convergence bookkeeping are shared.
 
 Fallbacks: a single lane, or a set of circuits that are not congruent
 (different node sets or device structure), is executed serially through
 :func:`~repro.spice.engine.run_plan` -- counted in
-``spice.batch.fallbacks`` (sparse-dispatched incongruent batches, and
-batches with ``REPRO_SPARSE_BATCH=0``, count per lane in
-``spice.batch.sparse_fallbacks``).
+``spice.batch.fallbacks`` (sparse-dispatched incongruent batches count
+per lane in ``spice.batch.sparse_fallbacks``).
 """
 
 from __future__ import annotations
@@ -55,12 +58,11 @@ from ..resilience import faults
 from ..resilience.retry import RetryPolicy
 from .dc import dc_plan, operating_point_from_vector
 from .engine import (
-    FastNewtonState,
     NewtonOptions,
     NewtonStats,
     SolveContext,
     _observe_solve,
-    fast_newton_enabled,
+    _SparseOps,
     newton_solve,
     nudge_diagonal,
     request_kwargs,
@@ -72,7 +74,6 @@ from .guard import (GuardMonitor, GuardPolicy, condition_estimate_dense,
 from .mosfet import mosfet_current_batch
 from .netlist import Circuit, CompiledCircuit
 from .sparse import sparse_enabled
-from .sparse_batch import SparseLockstep, sparse_batch_enabled
 from .stamps import CapStampArrays, MosGroup
 from .transient import TransientOptions, transient_result_plan
 
@@ -99,9 +100,8 @@ def _warn_sparse_fallback(lanes: int, n_unknown: int) -> None:
            else _log.warning)
     _sparse_fallback_run = generation
     log("batch of %d lanes dispatches to the sparse backend (%d unknowns "
-        ">= cutover) but cannot ride the batched sparse kernel "
-        "(incongruent lanes, or REPRO_SPARSE_BATCH=0): running the lanes "
-        "serially through the scalar sparse solver (counted per lane in "
+        ">= cutover) but its lanes are incongruent: running them serially "
+        "through the scalar sparse solver (counted per lane in "
         "spice.batch.sparse_fallbacks)", lanes, n_unknown)
 
 
@@ -285,11 +285,10 @@ def _assemble_values(batchc: BatchCompiled, state: _LockstepState,
     j_vals, gmin)`` -- ``X``/``F`` shaped ``(Ba, n)``, ``j_vals`` the
     ``(Ba, n_jvals)`` Jacobian value table in the stamp plan's
     ``j_src`` order (``[res_g | dvd | dvg | dvs (| geq)]``) -- which
-    the dense wrapper scatters into ``(Ba, n, n)`` stacks and the
-    sparse kernel (:mod:`repro.spice.sparse_batch`) into ``(Ba, nnz)``
-    CSC data rows.  Per-cell accumulation order is the scalar
-    assembler's, so both consumers stay bit-identical to their scalar
-    backends.
+    :meth:`_DenseSolver.matrices` scatters into ``(Ba, n, n)`` stacks
+    and :meth:`_SparseSolver.matrices` into ``(Ba, nnz)`` CSC data
+    rows.  Per-cell accumulation order is the scalar assembler's, so
+    both stay bit-identical to their scalar backends.
     """
     n = batchc.n
     batch = len(rows)
@@ -336,24 +335,6 @@ def _assemble_values(batchc: BatchCompiled, state: _LockstepState,
     return X, F, j_vals, gmin
 
 
-def _assemble(batchc: BatchCompiled, state: _LockstepState,
-              rows: np.ndarray, with_caps: bool):
-    """Residuals and dense Jacobians for the selected lanes.
-
-    Returns ``(X, F, J)`` with shapes ``(Ba, n)``, ``(Ba, n)`` and
-    ``(Ba, n, n)``.
-    """
-    n = batchc.n
-    batch = len(rows)
-    X, F, j_vals, gmin = _assemble_values(batchc, state, rows, with_caps)
-    j_flat = np.zeros((batch, n * n))
-    j_flat[:, batchc.diag] += gmin[:, None]
-    j_layers = batchc.j_layers_wc if with_caps else batchc.j_layers_nc
-    for cells, src, sign in j_layers:
-        j_flat[:, cells] += sign * j_vals[:, src]
-    return X, F, j_flat.reshape(batch, n, n)
-
-
 def _exhaustion_error(max_iterations: int, residual: float) -> ConvergenceError:
     return ConvergenceError(
         f"Newton failed to converge in {max_iterations} iterations "
@@ -362,8 +343,181 @@ def _exhaustion_error(max_iterations: int, residual: float) -> ConvergenceError:
     )
 
 
+def _sample_condition(state: _LockstepState, lane: int, recorder,
+                      estimate, *args) -> None:
+    """Condition-sample ``lane`` if due, computing ``estimate(*args)``.
+
+    Scalar placement: after the linear solve of the lane's first
+    iteration, against the as-solved (possibly nudged) matrix.
+    Per-lane monitors give each lane the scalar cadence, so the
+    illconditioned counter is batch-size invariant.
+    """
+    g = state.guards[lane]
+    if g is not None and g.check_condition and state.iteration[lane] == 0:
+        value = estimate(*args)
+        if g.note_condition(value):
+            note_illconditioned(value, g.policy.condition_limit, recorder)
+
+
+class _DenseSolver:
+    """Dense linear solves: one stacked LAPACK ``gesv`` per round.
+
+    ``gesv`` fuses factorization and back-substitution, so the whole
+    call books to the ``factorize`` phase.
+    """
+
+    __slots__ = ("batchc",)
+
+    def __init__(self, batchc: BatchCompiled) -> None:
+        self.batchc = batchc
+
+    def matrices(self, j_vals: np.ndarray, gmin: np.ndarray,
+                 with_caps: bool) -> np.ndarray:
+        """The ``(Ba, n, n)`` Jacobian stack, scalar accumulation order."""
+        batchc = self.batchc
+        n = batchc.n
+        batch = len(j_vals)
+        j_flat = np.zeros((batch, n * n))
+        j_flat[:, batchc.diag] += gmin[:, None]
+        j_layers = batchc.j_layers_wc if with_caps else batchc.j_layers_nc
+        for cells, src, sign in j_layers:
+            j_flat[:, cells] += sign * j_vals[:, src]
+        return j_flat.reshape(batch, n, n)
+
+    def solve(self, J: np.ndarray, rhs: np.ndarray, rows: np.ndarray,
+              state: _LockstepState, recorder, times) -> tuple:
+        """``(dx, singular)`` for the stack; nudges ``J`` in place."""
+        if times is not None:
+            start = _monotonic()
+        batch = len(rows)
+        singular = np.zeros(batch, dtype=bool)
+        try:
+            dx = np.linalg.solve(J, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # At least one lane is singular; redo lane by lane so the
+            # healthy lanes still get their (identical) dgesv solution
+            # and the sick ones walk the scalar nudge-then-fail path:
+            # the in-place diagonal nudge and its escalation value are
+            # the scalar loop's own helpers, so recovery arithmetic is
+            # bit-identical across the two drivers (``state.gmin`` holds
+            # the lane's effective gmin, the scalar ``effective_gmin``).
+            dx = np.empty_like(rhs)
+            for p in range(batch):
+                try:
+                    dx[p] = np.linalg.solve(J[p], rhs[p])
+                except np.linalg.LinAlgError:
+                    record_rung("nudge", recorder)
+                    nudge_diagonal(J[p], singular_nudge(
+                        float(state.gmin[rows[p]])))
+                    try:
+                        dx[p] = np.linalg.solve(J[p], rhs[p])
+                    except np.linalg.LinAlgError:
+                        # Doubly singular: a zero step would otherwise
+                        # sail through the ``step < voltol`` test, so
+                        # the mask must veto convergence and finish the
+                        # lane on the failure path (regression-pinned in
+                        # ``test_singular_batch.py``).
+                        dx[p] = 0.0
+                        singular[p] = True
+        if times is not None:
+            now = _monotonic()
+            times.factorize += now - start
+            start = now
+        if state.guarded:
+            for p in range(batch):
+                if not singular[p]:
+                    _sample_condition(state, int(rows[p]), recorder,
+                                      condition_estimate_dense, J[p])
+            if times is not None:
+                times.guard += _monotonic() - start
+        return dx, singular
+
+
+class _SparseSolver:
+    """Sparse linear solves: per-lane SuperLU on one shared CSC pattern.
+
+    Congruent lanes share the base lane's
+    :class:`~repro.spice.sparse.SparsePlan` -- one RCM ordering, one
+    ``indptr``/``indices`` pattern, one set of data-scatter layers --
+    while the numeric work is per lane: the lane's data row drops into
+    the plan's reused CSC buffer, so factorize and solve are the scalar
+    backend's own calls (telemetry included, via
+    :class:`~repro.spice.engine._SparseOps`).  SuperLU exposes the
+    factorize/back-substitution boundary, so the two phases split.
+    """
+
+    __slots__ = ("sp", "layers_wc", "layers_nc", "diag_slots", "_data")
+
+    def __init__(self, batchc: BatchCompiled) -> None:
+        self.sp = batchc.plan.sparse
+        self.layers_wc, self.layers_nc, self.diag_slots = \
+            self.sp.data_scatter_layers(batchc.plan)
+        self._data = None
+
+    def matrices(self, j_vals: np.ndarray, gmin: np.ndarray,
+                 with_caps: bool) -> np.ndarray:
+        """The ``(Ba, nnz)`` CSC data rows, scalar accumulation order.
+
+        The buffer persists across rounds (rows are consumed into the
+        plan's CSC data before the next call reuses it); zeroing a warm
+        buffer beats a fresh ``np.zeros`` every iteration.
+        """
+        batch = j_vals.shape[0]
+        buf = self._data
+        if buf is None or buf.shape[0] < batch:
+            buf = self._data = np.empty((batch, self.sp.nnz))
+        data = buf[:batch]
+        data[:] = 0.0
+        data[:, self.diag_slots] += gmin[:, None]
+        layers = self.layers_wc if with_caps else self.layers_nc
+        for slots, src, sign in layers:
+            data[:, slots] += sign * j_vals[:, src]
+        return data
+
+    def solve(self, data: np.ndarray, rhs: np.ndarray, rows: np.ndarray,
+              state: _LockstepState, recorder, times) -> tuple:
+        """``(dx, singular)``, one factorization per lane."""
+        sp = self.sp
+        ops = _SparseOps(sp, recorder, times)
+        batch = len(rows)
+        dx = np.empty_like(rhs)
+        singular = np.zeros(batch, dtype=bool)
+        for p in range(batch):
+            lane = int(rows[p])
+            if times is not None:
+                start = _monotonic()
+            sp.matrix.data[:] = data[p]
+            if times is not None:
+                times.assembly += _monotonic() - start
+            try:
+                lu = ops.factorize()
+            except np.linalg.LinAlgError:
+                record_rung("nudge", recorder)
+                sp.nudge(singular_nudge(float(state.gmin[lane])))
+                try:
+                    lu = ops.factorize()
+                except np.linalg.LinAlgError:
+                    # Doubly singular: the mask vetoes convergence, as
+                    # on the dense stack.
+                    dx[p] = 0.0
+                    singular[p] = True
+                    continue
+            dx[p] = sp.solve_factored(lu, rhs[p], times=times)
+            if state.guarded:
+                # The plan's data still holds this lane's values and
+                # the factor is in hand.
+                if times is not None:
+                    start = _monotonic()
+                ops.last_lu = lu
+                _sample_condition(state, lane, recorder,
+                                  ops.condition_estimate, None)
+                if times is not None:
+                    times.guard += _monotonic() - start
+        return dx, singular
+
+
 def _lockstep_round(batchc: BatchCompiled, state: _LockstepState,
-                    active_rows: np.ndarray, recorder,
+                    active_rows: np.ndarray, solver, recorder,
                     times=None) -> tuple:
     """Advance every in-flight solve by one Newton iteration.
 
@@ -376,11 +530,17 @@ def _lockstep_round(batchc: BatchCompiled, state: _LockstepState,
     solver, so their burned lockstep iterations are never recorded here
     and the solo retry reproduces the scalar driver's accounting.
 
+    ``solver`` is the linear-solve strategy (:class:`_DenseSolver` or
+    :class:`_SparseSolver`): ``matrices`` builds the per-lane Jacobians
+    from the device-value table, ``solve`` returns the Newton steps and
+    the doubly-singular mask, walking the nudge ladder and sampling
+    conditions lane by lane.
+
     ``times``, when given, is a per-round
     :class:`~repro.obs.profile.PhaseTimes` accumulator for the
-    ``driver="batch"`` phase histograms: batched assembly lands in
-    ``assembly``, the stacked ``np.linalg.solve`` in ``factorize``
-    (LAPACK gesv fuses factorize and back-substitution), the per-lane
+    ``driver="batch"``/``"sparse_batch"`` phase histograms: batched
+    assembly lands in ``assembly``, the linear solves in ``factorize``
+    (and ``back_solve``, where the backend splits them), the per-lane
     guard checks and condition sampling in ``guard``, and the state
     writeback plus convergence bookkeeping in ``scatter``.
     """
@@ -394,7 +554,8 @@ def _lockstep_round(batchc: BatchCompiled, state: _LockstepState,
         batch = len(rows)
         if times is not None:
             t_seg = _monotonic()
-        X, F, J = _assemble(batchc, state, rows, with_caps)
+        X, F, j_vals, gmin = _assemble_values(batchc, state, rows, with_caps)
+        mats = solver.matrices(j_vals, gmin, with_caps)
         residual = np.abs(F).max(axis=1)
         if times is not None:
             now = _monotonic()
@@ -427,66 +588,14 @@ def _lockstep_round(batchc: BatchCompiled, state: _LockstepState,
                     if times is not None:
                         times.guard += _monotonic() - t_seg
                     continue
-                X, F, J = X[keep], F[keep], J[keep]
+                X, F, mats = X[keep], F[keep], mats[keep]
                 residual = residual[keep]
                 batch = len(rows)
+            if times is not None:
+                times.guard += _monotonic() - t_seg
+        dx, singular = solver.solve(mats, -F, rows, state, recorder, times)
         if times is not None:
-            now = _monotonic()
-            times.guard += now - t_seg
-            t_seg = now
-        rhs = -F
-        singular = np.zeros(batch, dtype=bool)
-        try:
-            dx = np.linalg.solve(J, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # At least one lane is singular; redo lane by lane so the
-            # healthy lanes still get their (identical) dgesv solution
-            # and the sick ones walk the scalar nudge-then-fail path:
-            # the in-place diagonal nudge and its escalation value are
-            # the scalar loop's own helpers, so recovery arithmetic is
-            # bit-identical across the two drivers (``state.gmin`` holds
-            # the lane's effective gmin, the scalar ``effective_gmin``).
-            dx = np.empty_like(F)
-            for p in range(batch):
-                try:
-                    dx[p] = np.linalg.solve(J[p], rhs[p])
-                except np.linalg.LinAlgError:
-                    record_rung("nudge", recorder)
-                    nudge_diagonal(J[p], singular_nudge(
-                        float(state.gmin[rows[p]])))
-                    try:
-                        dx[p] = np.linalg.solve(J[p], rhs[p])
-                    except np.linalg.LinAlgError:
-                        # Doubly singular: a zero step would otherwise
-                        # sail through the ``step < voltol`` test, so
-                        # the mask must veto convergence and finish the
-                        # lane on the failure path (regression-pinned in
-                        # ``test_singular_batch.py``).
-                        dx[p] = 0.0
-                        singular[p] = True
-        if times is not None:
-            now = _monotonic()
-            times.factorize += now - t_seg
-            t_seg = now
-        if state.guarded:
-            # Condition sampling mirrors the scalar placement: after
-            # the linear solve of a lane's first iteration, against the
-            # as-solved (possibly nudged-in-place) Jacobian.  Per-lane
-            # monitors give each lane the scalar cadence, so the
-            # illconditioned counter is batch-size invariant.
-            for p in range(batch):
-                lane = int(rows[p])
-                g = state.guards[lane]
-                if (g is not None and g.check_condition
-                        and state.iteration[lane] == 0 and not singular[p]):
-                    estimate = condition_estimate_dense(J[p])
-                    if g.note_condition(estimate):
-                        note_illconditioned(
-                            estimate, g.policy.condition_limit, recorder)
-        if times is not None:
-            now = _monotonic()
-            times.guard += now - t_seg
-            t_seg = now
+            t_seg = _monotonic()
         steps = np.abs(dx).max(axis=1)
         max_steps = state.max_step[rows]
         factors = np.ones(batch)
@@ -528,14 +637,14 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
     active: set = set()
     recorder = get_recorder()
     profile = PhaseProfiler.from_recorder(recorder)
-    # The round kernel is the only backend-dependent piece: the dense
-    # (B, n, n) stack, or per-lane SuperLU on the shared CSC pattern.
-    # Everything else -- plan advancement, guard monitors, eviction and
-    # solo retry, accounting -- is driver-invariant, labeled by
-    # ``driver``/``backend`` so telemetry tells the two apart.
+    # The linear-solve strategy is the only backend-dependent piece: the
+    # dense (B, n, n) stack, or per-lane SuperLU on the shared CSC
+    # pattern.  Everything else -- plan advancement, guard monitors,
+    # eviction and solo retry, accounting -- is driver-invariant,
+    # labeled by ``driver``/``backend`` so telemetry tells them apart.
     driver = "sparse_batch" if sparse else "batch"
     backend = "sparse" if sparse else "dense"
-    kernel = SparseLockstep(batchc, _assemble_values) if sparse else None
+    solver = _SparseSolver(batchc) if sparse else _DenseSolver(batchc)
     # Flight records are per finished lane-solve; the evicted lanes
     # record through the scalar solver they retry on.
     flight = recorder.flight if recorder.enabled else None
@@ -605,6 +714,10 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
         kwargs["sparse"] = sparse
         if monitors[lane] is not None:
             kwargs["guard"] = monitors[lane]
+        if profile is not None:
+            # Booked under the scalar driver's label, like any solve
+            # that runs outside the stack.
+            kwargs["profile"] = profile
         try:
             outcome = newton_solve(compiled, request.x0, request.known,
                                    **kwargs)
@@ -620,11 +733,8 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
         rounds += 1
         times = profile.begin() if profile is not None else None
         rows = np.fromiter(sorted(active), dtype=np.intp, count=len(active))
-        if kernel is not None:
-            finished, evicted = kernel.round(state, rows, recorder, times)
-        else:
-            finished, evicted = _lockstep_round(batchc, state, rows,
-                                                recorder, times)
+        finished, evicted = _lockstep_round(batchc, state, rows, solver,
+                                            recorder, times)
         if profile is not None:
             profile.finish(driver, times)
         for lane, reason in evicted:
@@ -659,46 +769,38 @@ def run_plans_batched(entries: Sequence[tuple]) -> list:
 
     Returns one outcome per entry: the plan's return value, or the
     :class:`~repro.errors.ConvergenceError` it raised.  Congruent
-    multi-lane batches run through the lockstep kernel -- the dense
-    ``(B, n, n)`` stack below the sparse cutover, the batched sparse
-    kernel (:mod:`repro.spice.sparse_batch`, shared symbolic analysis,
-    per-lane SuperLU) when the lanes dispatch to the sparse backend
-    (:func:`~repro.spice.sparse.sparse_enabled`).  A single lane runs
-    serially (nothing to vectorize), and incongruent lanes fall back
-    to the serial driver with a ``spice.batch.fallbacks`` count --
-    counted per lane in ``spice.batch.sparse_fallbacks`` instead when
-    they would have dispatched sparse (as are congruent batches with
-    the sparse kernel disabled via ``REPRO_SPARSE_BATCH=0``); the
-    serial solves then match the scalar driver bit for bit.
+    multi-lane batches run through the lockstep kernel -- on the dense
+    ``(B, n, n)`` stack below the sparse cutover, on per-lane SuperLU
+    over one shared symbolic analysis when the lanes dispatch to the
+    sparse backend (:func:`~repro.spice.sparse.sparse_enabled`).  A
+    single lane runs serially (nothing to vectorize), and incongruent
+    lanes fall back to the serial driver with a
+    ``spice.batch.fallbacks`` count -- counted per lane in
+    ``spice.batch.sparse_fallbacks`` instead when they would have
+    dispatched sparse; the serial solves then match the scalar driver
+    bit for bit.
     """
     batchc = None
     use_sparse = False
     if len(entries) > 1:
         want_sparse = sparse_enabled(entries[0][0].n_unknown)
-        if want_sparse and not sparse_batch_enabled():
-            get_recorder().counter(
-                "spice.batch.sparse_fallbacks").inc(len(entries))
-            _warn_sparse_fallback(len(entries), entries[0][0].n_unknown)
-        else:
-            try:
-                batchc = BatchCompiled([entry[0] for entry in entries])
-            except BatchIncongruent:
-                if want_sparse:
-                    get_recorder().counter(
-                        "spice.batch.sparse_fallbacks").inc(len(entries))
-                    _warn_sparse_fallback(len(entries),
-                                          entries[0][0].n_unknown)
-                else:
-                    get_recorder().counter("spice.batch.fallbacks").inc()
+        try:
+            batchc = BatchCompiled([entry[0] for entry in entries])
+        except BatchIncongruent:
+            if want_sparse:
+                get_recorder().counter(
+                    "spice.batch.sparse_fallbacks").inc(len(entries))
+                _warn_sparse_fallback(len(entries), entries[0][0].n_unknown)
             else:
-                use_sparse = want_sparse
+                get_recorder().counter("spice.batch.fallbacks").inc()
+        else:
+            use_sparse = want_sparse
     if batchc is None:
-        # One recorder handle (and fast-Newton state, when enabled) for
-        # the whole serial fallback, like the scalar analysis drivers.
+        # One recorder handle for the whole serial fallback, like the
+        # scalar analysis drivers.
         recorder = get_recorder()
         context = SolveContext(
             recorder=recorder,
-            fast=FastNewtonState() if fast_newton_enabled() else None,
             profile=PhaseProfiler.from_recorder(recorder),
         )
         guard_policy = GuardPolicy.from_env()

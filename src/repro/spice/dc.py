@@ -30,12 +30,10 @@ from ..obs.flight import dump_flight
 from ..obs.profile import PhaseProfiler
 from ..resilience.retry import RetryPolicy
 from .engine import (
-    FastNewtonState,
     NewtonOptions,
     NewtonRequest,
     NewtonStats,
     SolveContext,
-    fast_newton_enabled,
     newton_solve,
     request_kwargs,
     request_solve,
@@ -209,7 +207,6 @@ def solve_dc(circuit: Circuit | CompiledCircuit, *,
     recorder = get_recorder()
     context = SolveContext(
         recorder=recorder,
-        fast=FastNewtonState() if fast_newton_enabled() else None,
         sparse=sparse_enabled(compiled.n_unknown),
         guard=GuardMonitor.from_env(),
         profile=PhaseProfiler.from_recorder(recorder),
@@ -249,13 +246,11 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
     samples: Dict[str, list[float]] = {}
     guess: Optional[Dict[str, float]] = None
     originals = {name: circuit._vsources[name] for name in source_names}
-    # One recorder handle (and one fast-Newton state, and one sparse
-    # dispatch -- the unknown count is sweep-invariant) for the whole
-    # sweep: per-point solves skip the environment-signature check.
+    # One recorder handle (and one sparse dispatch -- the unknown
+    # count is sweep-invariant) for the whole sweep: per-point solves skip the environment-signature check.
     recorder = get_recorder()
     context = SolveContext(
         recorder=recorder,
-        fast=FastNewtonState() if fast_newton_enabled() else None,
         sparse=sparse_enabled(len(circuit.unknown_nodes())),
         guard=GuardMonitor.from_env(),
         profile=PhaseProfiler.from_recorder(recorder),

@@ -12,8 +12,6 @@ capacitors (Norton equivalents of the implicit integration rule).
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
 from typing import Generator, Optional, Sequence, Tuple, Union
@@ -33,26 +31,10 @@ from .sparse import sparse_enabled
 from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
                      load_solve)
 
-try:
-    from scipy.linalg import lu_factor, lu_solve
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _HAVE_SCIPY = False
-
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "NewtonRequest",
            "assemble_system", "assemble_system_reference", "newton_solve",
            "execute_request", "request_solve", "run_plan", "SolveContext",
-           "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
            "nudge_diagonal", "singular_nudge"]
-
-#: Environment knob enabling the opt-in modified-Newton mode.
-FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
-
-
-def fast_newton_enabled() -> bool:
-    """Whether ``REPRO_FAST_NEWTON`` opts into LU-reusing modified Newton."""
-    value = os.environ.get(FAST_NEWTON_ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
 
 #: Companion-model stamp for one capacitor: current (a -> b) is
 #: ``geq * (va - vb) - ieq``.
@@ -283,7 +265,7 @@ def singular_nudge(effective_gmin: float) -> float:
     Both the scalar loops and the batched lockstep kernel escalate a
     singular system by adding this to every diagonal entry; sharing the
     expression keeps the recovery arithmetic bit-identical across the
-    scalar, fast, sparse and batched paths.
+    scalar, sparse and batched paths.
     """
     return max(effective_gmin, 1e-9)
 
@@ -393,113 +375,27 @@ def _finish_solve(profile: Optional[PhaseProfiler],
     flight.note_solve(**record)
 
 
-class FastNewtonState:
-    """Cross-solve state of the opt-in modified-Newton mode.
-
-    Holds the most recent LU factorization together with the key it was
-    computed under: the compiled circuit (by reference), the effective
-    gmin, the source scale and the capacitor companion conductances.
-    Consecutive accepted timesteps of the same ``h`` share the same
-    ``geq`` vector, so their solves start from the previous step's LU;
-    a key mismatch (new ``h``, a homotopy rung, a different circuit)
-    forces refactorization on the first iteration.  ``reused`` and
-    ``refactorized`` count factorization reuse for tests/telemetry.
-    """
-
-    __slots__ = ("compiled", "key", "lu", "reused", "refactorized")
-
-    def __init__(self) -> None:
-        self.compiled = None
-        self.key = None
-        self.lu = None
-        self.reused = 0
-        self.refactorized = 0
-
-
-def _fast_factorize(J: np.ndarray):
-    """LU-factorize a fresh Jacobian (scipy when present, else a copy)."""
-    if _HAVE_SCIPY:
-        with warnings.catch_warnings():
-            # A singular J makes dgetrf warn; we detect it from the
-            # non-finite solution and walk the nudge path instead.
-            warnings.simplefilter("ignore")
-            return lu_factor(J, check_finite=False)
-    return np.array(J)
-
-
-def _fast_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    if _HAVE_SCIPY:
-        return lu_solve(lu, rhs, check_finite=False)
-    return np.linalg.solve(lu, rhs)
-
-
-#: Sentinel LU of a singular sparse factorization attempt: its solve
-#: returns all-inf, steering the modified-Newton loop onto the same
-#: non-finite nudge path a singular dense factorization takes.
-_SPARSE_SINGULAR = object()
-
-
 class _DenseOps:
-    """Dense linear-algebra backend behind the Newton loops.
+    """Dense LAPACK backend behind the Newton loop.
 
-    Static methods only -- the dense path carries no per-circuit state,
-    and keeping these as the exact pre-existing helper calls preserves
-    bit-identity of the default mode.
-    """
-
-    @staticmethod
-    def direct_solve(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(J, -F)
-
-    @staticmethod
-    def fast_factorize(J: np.ndarray):
-        return _fast_factorize(J)
-
-    @staticmethod
-    def fast_solve(lu, rhs: np.ndarray) -> np.ndarray:
-        return _fast_solve(lu, rhs)
-
-    @staticmethod
-    def nudge(J: np.ndarray, value: float) -> None:
-        nudge_diagonal(J, value)
-
-    @staticmethod
-    def condition_estimate(J: np.ndarray) -> float:
-        return condition_estimate_dense(J)
-
-
-class _TimedDenseOps:
-    """The dense backend with phase timing, substituted when profiling.
-
-    Runs the exact same LAPACK calls as :class:`_DenseOps` -- results
-    stay bit-identical -- but brackets them with monotonic reads.  The
-    fused ``gesv`` of ``direct_solve`` lands wholly in ``factorize``
-    (LAPACK does not expose the split); the fast-Newton path splits
-    ``lu_factor`` / ``lu_solve`` into factorize / back_solve properly.
+    ``times``, when given (the solve is profiled), brackets the linear
+    solve with monotonic reads -- the same LAPACK call either way, so
+    results stay bit-identical.  The fused ``gesv`` lands wholly in
+    ``factorize``: LAPACK does not expose the back-substitution split.
     """
 
     __slots__ = ("times",)
 
-    def __init__(self, times: PhaseTimes) -> None:
+    def __init__(self, times: Optional[PhaseTimes] = None) -> None:
         self.times = times
 
     def direct_solve(self, J: np.ndarray, F: np.ndarray) -> np.ndarray:
+        if self.times is None:
+            return np.linalg.solve(J, -F)
         start = _monotonic()
         dx = np.linalg.solve(J, -F)
         self.times.factorize += _monotonic() - start
         return dx
-
-    def fast_factorize(self, J: np.ndarray):
-        start = _monotonic()
-        lu = _fast_factorize(J)
-        self.times.factorize += _monotonic() - start
-        return lu
-
-    def fast_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        start = _monotonic()
-        out = _fast_solve(lu, rhs)
-        self.times.back_solve += _monotonic() - start
-        return out
 
     @staticmethod
     def nudge(J: np.ndarray, value: float) -> None:
@@ -541,17 +437,6 @@ class _SparseOps:
         self.last_lu = lu
         return self.sp.solve_factored(lu, -F, times=self.times)
 
-    def fast_factorize(self, A):
-        try:
-            return self.factorize()
-        except np.linalg.LinAlgError:
-            return _SPARSE_SINGULAR
-
-    def fast_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        if lu is _SPARSE_SINGULAR:
-            return np.full(rhs.shape, np.inf)
-        return self.sp.solve_factored(lu, rhs, times=self.times)
-
     def nudge(self, A, value: float) -> None:
         self.sp.nudge(value)
 
@@ -561,109 +446,6 @@ class _SparseOps:
         return condition_estimate_sparse(self.sp, self.last_lu)
 
 
-def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
-                 assemble, key, options: NewtonOptions,
-                 effective_gmin: float, fast: FastNewtonState,
-                 stats: Optional[NewtonStats], recorder,
-                 ops=_DenseOps, backend: Optional[str] = None,
-                 guard: Optional[SolveGuard] = None,
-                 times: Optional[PhaseTimes] = None,
-                 profile: Optional[PhaseProfiler] = None) -> np.ndarray:
-    """Modified-Newton loop: reuse the LU factorization while it contracts.
-
-    A *stale* iteration evaluates only the residual and steps with the
-    retained LU; the factorization refreshes when the key changes, the
-    residual stops contracting (safeguarded fallback to full Newton),
-    or on the accepting iteration -- convergence is only declared on a
-    fresh-Jacobian step, which polishes the solution to well inside the
-    full-Newton tolerances.  ``ops`` selects the linear-algebra backend
-    (dense LAPACK or the compiled sparse SuperLU plan); a singular
-    sparse factorization surfaces as an all-inf solve, joining the
-    dense path's non-finite nudge ladder.
-    """
-    nudge = singular_nudge(effective_gmin)
-    fresh = (fast.lu is None or fast.compiled is not compiled
-             or fast.key != key)
-    last_residual = np.inf
-    for iteration in range(1, options.max_iterations + 1):
-        if not fresh:
-            F, _ = assemble(need_jacobian=False)
-            residual = float(np.abs(F).max())
-            if residual >= 0.5 * last_residual:
-                fresh = True  # stalled contraction: refactorize here
-                record_rung("refresh", recorder)
-        if fresh:
-            F, J = assemble()
-            residual = float(np.abs(F).max())
-            fast.lu = ops.fast_factorize(J)
-            fast.compiled = compiled
-            fast.key = key
-            fast.refactorized += 1
-        else:
-            fast.reused += 1
-        if guard is not None:
-            guard_start = _monotonic() if times is not None else 0.0
-            abort = guard.check(iteration, residual)
-            if times is not None:
-                times.guard += _monotonic() - guard_start
-            if abort is not None:
-                _guard_abort(abort, stats, recorder, backend,
-                             n=x.shape[0], times=times, profile=profile)
-                raise abort
-        dx = ops.fast_solve(fast.lu, -F)
-        if not np.all(np.isfinite(dx)):
-            # Singular factorization: rebuild with a nudged diagonal.
-            record_rung("nudge", recorder)
-            F, J = assemble()
-            ops.nudge(J, nudge)
-            fast.lu = ops.fast_factorize(J)
-            fast.key = None  # the nudged LU must not outlive this solve
-            dx = ops.fast_solve(fast.lu, -F)
-            if not np.all(np.isfinite(dx)):
-                if stats is not None:
-                    stats.record(iteration, converged=False)
-                _observe_solve(iteration, converged=False, recorder=recorder,
-                               backend=backend)
-                _finish_solve(profile, times, backend or "dense", recorder,
-                              x.shape[0], iteration, "singular")
-                raise ConvergenceError(
-                    "singular Jacobian during Newton iteration",
-                    iterations=iteration, residual=residual,
-                ) from None
-            fresh = True
-        step = float(np.abs(dx).max())
-        if step > options.max_step:
-            dx *= options.max_step / step
-        x += dx
-        if step < options.voltol and residual < options.abstol:
-            if fresh:
-                if stats is not None:
-                    stats.record(iteration, converged=True)
-                _observe_solve(iteration, converged=True, recorder=recorder,
-                               backend=backend)
-                _finish_solve(profile, times, backend or "dense", recorder,
-                              x.shape[0], iteration, "converged")
-                return x
-            # Tolerance hit on a stale step: polish with a fresh
-            # Jacobian before accepting.
-            fresh = True
-            last_residual = residual
-            continue
-        last_residual = residual
-        fresh = False
-    if stats is not None:
-        stats.record(options.max_iterations, converged=False)
-    _observe_solve(options.max_iterations, converged=False,
-                   recorder=recorder, backend=backend)
-    _finish_solve(profile, times, backend or "dense", recorder,
-                  x.shape[0], options.max_iterations, "iteration_limit")
-    raise ConvergenceError(
-        f"Newton failed to converge in {options.max_iterations} iterations "
-        f"(residual {last_residual:.3e} A)",
-        iterations=options.max_iterations, residual=last_residual,
-    )
-
-
 def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                  *, options: NewtonOptions, gmin: Optional[float] = None,
                  time: float = 0.0,
@@ -671,7 +453,6 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                  source_scale: float = 1.0,
                  stats: Optional[NewtonStats] = None,
                  recorder=None,
-                 fast: Optional[FastNewtonState] = None,
                  sparse: Optional[bool] = None,
                  guard: Optional[GuardMonitor] = None,
                  profile: Optional[PhaseProfiler] = None) -> np.ndarray:
@@ -684,10 +465,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     raised error also carries its count in ``iterations``).
 
     ``recorder``, when given, skips the per-solve recorder lookup
-    (drivers resolve one handle per analysis).  ``fast`` opts this
-    solve into the tolerance-gated modified-Newton mode; the default
-    ``None`` keeps the bit-identical full-Newton iteration.  ``sparse``
-    selects the linear-solver backend: ``None`` dispatches by unknown
+    (drivers resolve one handle per analysis).  ``sparse`` selects the linear-solver backend: ``None`` dispatches by unknown
     count through :func:`~repro.spice.sparse.sparse_enabled` (drivers
     resolve this once per analysis and pass the choice down), an
     explicit bool forces dense LAPACK or sparse SuperLU.  The sparse
@@ -718,12 +496,8 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     use_sparse = compiled_path and (
         sparse_enabled(compiled.n_unknown) if sparse is None
         else bool(sparse))
-    if use_sparse:
-        ops = _SparseOps(plan.sparse, recorder, times)
-    elif times is not None:
-        ops = _TimedDenseOps(times)
-    else:
-        ops = _DenseOps
+    ops = (_SparseOps(plan.sparse, recorder, times) if use_sparse
+           else _DenseOps(times))
     backend = "sparse" if use_sparse else "dense"
     if compiled_path:
         ws = plan.scratch
@@ -731,48 +505,28 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                                time, cap_stamps, source_scale,
                                compiled.isources)
         if use_sparse:
-            def assemble(need_jacobian: bool = True):
+            def assemble():
                 return assemble_sparse(plan, ws, ops.sp, x, effective_gmin,
-                                       with_caps, need_jacobian)
+                                       with_caps)
         else:
-            def assemble(need_jacobian: bool = True):
-                return assemble_into(plan, ws, x, effective_gmin, with_caps,
-                                     need_jacobian)
+            def assemble():
+                return assemble_into(plan, ws, x, effective_gmin, with_caps)
     else:
-        def assemble(need_jacobian: bool = True):
+        def assemble():
             return assemble_system_reference(
                 compiled, x, known, gmin=effective_gmin, time=time,
                 cap_stamps=cap_stamps, source_scale=source_scale)
 
     if times is not None:
-        # One wrapper times every assembly call of both Newton loops;
-        # the unprofiled path keeps the raw closure (zero overhead).
+        # One wrapper times every assembly call; the unprofiled path
+        # keeps the raw closure (zero overhead).
         _assemble_inner = assemble
 
-        def assemble(need_jacobian: bool = True):
+        def assemble():
             start = _monotonic()
-            result = _assemble_inner(need_jacobian)
+            result = _assemble_inner()
             times.assembly += _monotonic() - start
             return result
-
-    if fast is not None:
-        if cap_stamps is None:
-            geq_key: object = ()
-        elif isinstance(cap_stamps, CapStampArrays):
-            # Bytes of the geq array: equal exactly when the per-cap
-            # conductances are equal, like the tuple key -- consecutive
-            # same-``h`` timesteps share it and reuse the LU.
-            geq_key = cap_stamps.geq.tobytes()
-        else:
-            geq_key = tuple(s[2] for s in cap_stamps)
-        key = (backend, effective_gmin, source_scale, geq_key)
-        # Condition sampling is skipped in fast mode: stale-LU steps
-        # have no fresh Jacobian to estimate, and the mode already
-        # refactorizes whenever contraction stalls.
-        return _newton_fast(compiled, x, assemble, key, options,
-                            effective_gmin, fast, stats, recorder,
-                            ops=ops, backend=backend, guard=solve_guard,
-                            times=times, profile=profile)
 
     condition_seen: Optional[float] = None
     last_residual = np.inf
@@ -875,9 +629,7 @@ class SolveContext:
 
     ``recorder`` is the telemetry handle resolved once per analysis (so
     scalar sweeps skip the per-solve environment-signature check of
-    :func:`~repro.obs.get_recorder`); ``fast`` carries the
-    modified-Newton state when ``REPRO_FAST_NEWTON`` is on; ``sparse``
-    is the linear-backend choice resolved once per analysis from
+    :func:`~repro.obs.get_recorder`); ``sparse`` is the linear-backend choice resolved once per analysis from
     ``REPRO_SPARSE`` and the circuit's unknown count (``None`` lets
     each solve re-dispatch); ``guard`` carries the analysis's
     :class:`~repro.spice.guard.GuardMonitor` when ``REPRO_GUARD`` is on
@@ -888,7 +640,6 @@ class SolveContext:
     """
 
     recorder: object = None
-    fast: Optional[FastNewtonState] = field(default=None)
     sparse: Optional[bool] = field(default=None)
     guard: Optional[GuardMonitor] = field(default=None)
     profile: Optional[PhaseProfiler] = field(default=None)
@@ -898,8 +649,6 @@ class SolveContext:
         kwargs = request_kwargs(request, stats)
         if self.recorder is not None:
             kwargs["recorder"] = self.recorder
-        if self.fast is not None:
-            kwargs["fast"] = self.fast
         if self.sparse is not None:
             kwargs["sparse"] = self.sparse
         if self.guard is not None:

@@ -4,16 +4,14 @@ The Newton core recovers from hard operating points through a fixed
 escalation ladder, each rung owned by the layer that can retry most
 cheaply:
 
-1. **Jacobian refresh** -- the modified-Newton mode refactorizes when a
-   stale LU stops contracting the residual (``spice/engine.py``),
-2. **diagonal nudge** -- a singular factorization retries once with
+1. **diagonal nudge** -- a singular factorization retries once with
    :func:`~repro.spice.engine.singular_nudge` added to the diagonal
-   (scalar, fast, sparse and batched paths share the arithmetic),
-3. **gmin ramp** -- DC homotopy relaxing a large leak conductance decade
+   (scalar, sparse and batched paths share the arithmetic),
+2. **gmin ramp** -- DC homotopy relaxing a large leak conductance decade
    by decade (``spice/dc.py``),
-4. **source stepping** -- DC homotopy ramping the sources from zero
+3. **source stepping** -- DC homotopy ramping the sources from zero
    (``spice/dc.py``),
-5. **timestep cut** -- the transient integrator shrinks ``h`` and falls
+4. **timestep cut** -- the transient integrator shrinks ``h`` and falls
    back to backward Euler (``spice/transient.py``).
 
 This module is the ladder's single accounting point: every engagement is
@@ -87,8 +85,7 @@ WALL_ENV_VAR = "REPRO_GUARD_WALL"
 
 #: The escalation ladder, cheapest rung first.  Every engagement is
 #: counted in ``spice.guard.rung{rung=...}`` by the owning layer.
-ESCALATION_RUNGS = ("refresh", "nudge", "gmin_ramp", "source_step",
-                    "timestep_cut")
+ESCALATION_RUNGS = ("nudge", "gmin_ramp", "source_step", "timestep_cut")
 
 #: Consecutive growing iterations before a divergence abort.  Not an
 #: environment knob: the streak mostly trades off against

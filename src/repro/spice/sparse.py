@@ -18,8 +18,7 @@ factorization instead.
 * a reverse Cuthill-McKee ordering of the symmetrized stamp structure
   is applied up front, so every factorization runs SuperLU with
   ``permc_spec="NATURAL"`` -- the fill-reducing analysis happens once
-  per circuit and is reused across all iterations and solves, the way
-  ``--fast-newton`` reuses numeric LU factors, and
+  per circuit and is reused across all iterations and solves, and
 * emission-ordered data-scatter arrays map each stamp contribution to
   its slot in ``data``.  ``np.add.at`` applies repeated-index
   additions sequentially in element order, and the element order here
@@ -49,6 +48,7 @@ from time import monotonic
 import numpy as np
 
 from ..resilience import faults
+from .stamps import layer_plan
 
 try:
     from scipy.sparse import csc_matrix, csr_matrix
@@ -193,7 +193,7 @@ class SparsePlan:
         self._rhs = np.empty(n)
         self._dx = np.empty(n)
         #: Lazily-compiled layered data-scatter plans for the batched
-        #: sparse kernel (:mod:`repro.spice.sparse_batch`), cached here
+        #: lockstep kernel (:meth:`data_scatter_layers`), cached here
         #: because congruent lanes share one plan -- and therefore one
         #: compilation -- exactly like the CSC pattern itself.
         self.batch_layers = None
@@ -212,6 +212,37 @@ class SparsePlan:
         contrib *= sign
         np.add.at(data, pos, contrib)
         return self.matrix
+
+    def data_scatter_layers(self, plan):
+        """Layered ``(B, nnz)`` scatter plans for the batched kernel.
+
+        The scalar path scatters Jacobian contributions with one
+        ``np.add.at`` over emission-ordered data positions -- sequential
+        per-slot accumulation.  The batched kernel needs fancy-index
+        ``+=`` across a batch axis instead, which is only safe when
+        target slots are unique per pass, so the device contributions
+        are bucketed into :func:`~repro.spice.stamps.layer_plan` layers
+        over *data slots*: layer j adds the j-th contribution of every
+        slot, replaying the scalar per-slot order exactly (the gmin
+        diagonal, emitted first in the scalar arrays, is applied as its
+        own leading pass -- its slots are the unique diagonal
+        positions).
+
+        ``plan`` is the :class:`~repro.spice.stamps.StampPlan` this
+        sparse plan was compiled from.  Returns ``(layers_wc,
+        layers_nc, diag_slots)``, cached on ``batch_layers``.
+        """
+        if self.batch_layers is None:
+            _, j_src, j_sign = plan.j_raw
+            device_pos = self.pos_wc[plan.n:]
+            split = plan.j_split
+            self.batch_layers = (
+                layer_plan(device_pos, j_src, j_sign),
+                layer_plan(device_pos[:split], j_src[:split],
+                           j_sign[:split]),
+                np.array(self.pos_wc[:plan.n]),
+            )
+        return self.batch_layers
 
     def nudge(self, value: float) -> None:
         """Add ``value`` to every diagonal entry of the assembled data."""

@@ -300,7 +300,8 @@ class StampPlan:
         # ``F`` and flattened ``J`` share one target buffer (``F`` in
         # the first ``n`` cells) and one value buffer (F columns first),
         # so a full assembly is a single take/multiply/scatter pass;
-        # the residual-only prefix serves the modified-Newton mode.
+        # the residual-only prefix serves the sparse backend, whose
+        # Jacobian scatters into CSC data instead.
         self.n_fvals = num_res + num_is + num_mos + num_cap
         self.n_jvals = num_res + 3 * num_mos + num_cap
         j_cells_off = [n + cell for cell in j_cells]
@@ -459,13 +460,11 @@ def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
 
 
 def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
-                gmin: float, with_caps: bool,
-                need_jacobian: bool = True) -> None:
+                gmin: float, with_caps: bool) -> None:
     """Evaluate every device value column of one Newton iteration.
 
-    Fills the ``ws.vals`` rows (device currents, Jacobian partials when
-    ``need_jacobian``, the ``gmin * x`` diagonal row and the ``gmin``
-    cell) that the dense and sparse scatter passes both consume.  The
+    Fills the ``ws.vals`` rows (device currents, Jacobian partials, the
+    ``gmin * x`` diagonal row and the ``gmin`` cell) that the dense and sparse scatter passes both consume.  The
     expressions mirror the reference scalar assembler's operand order
     exactly; this is the shared front half of :func:`assemble_into`.
     """
@@ -478,26 +477,20 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.res_cur *= plan.res_g
     if plan.use_scalar_mos:
         xkl = xk.tolist()
-        if need_jacobian:
-            ids: List[float] = []
-            dvds: List[float] = []
-            dvgs: List[float] = []
-            dvss: List[float] = []
-            for params, kk, dcol, gcol, scol in plan.mos_scalar:
-                i_d, dvd, dvg, dvs = mosfet_current(
-                    params, kk, xkl[gcol], xkl[dcol], xkl[scol])
-                ids.append(i_d)
-                dvds.append(dvd)
-                dvgs.append(dvg)
-                dvss.append(dvs)
-            ws.dvd_row[:] = dvds
-            ws.dvg_row[:] = dvgs
-            ws.dvs_row[:] = dvss
-        else:
-            ids = [
-                mosfet_current(params, kk, xkl[gcol], xkl[dcol], xkl[scol])[0]
-                for params, kk, dcol, gcol, scol in plan.mos_scalar
-            ]
+        ids: List[float] = []
+        dvds: List[float] = []
+        dvgs: List[float] = []
+        dvss: List[float] = []
+        for params, kk, dcol, gcol, scol in plan.mos_scalar:
+            i_d, dvd, dvg, dvs = mosfet_current(
+                params, kk, xkl[gcol], xkl[dcol], xkl[scol])
+            ids.append(i_d)
+            dvds.append(dvd)
+            dvgs.append(dvg)
+            dvss.append(dvs)
+        ws.dvd_row[:] = dvds
+        ws.dvg_row[:] = dvgs
+        ws.dvs_row[:] = dvss
         ws.id_row[:] = ids
     else:
         for grp in plan.groups:
@@ -507,10 +500,9 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
                 xk[grp.g_cols], xk[grp.d_cols], xk[grp.s_cols],
             )
             ws.id_row[grp.cols] = i_d
-            if need_jacobian:
-                ws.dvd_row[grp.cols] = dvd
-                ws.dvg_row[grp.cols] = dvg
-                ws.dvs_row[grp.cols] = dvs
+            ws.dvd_row[grp.cols] = dvd
+            ws.dvg_row[grp.cols] = dvg
+            ws.dvs_row[grp.cols] = dvs
 
     if with_caps:
         np.subtract(xk[plan.cap_a], xk[plan.cap_b], out=ws.cap_cur)
@@ -518,43 +510,33 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.cap_cur -= ws.cap_ieq
 
     np.multiply(x, gmin, out=ws.gx)
-    if need_jacobian:
-        ws.vals[plan.gmin_slot] = gmin
+    ws.vals[plan.gmin_slot] = gmin
 
 
 def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
-                  gmin: float, with_caps: bool,
-                  need_jacobian: bool = True):
+                  gmin: float, with_caps: bool):
     """Vectorized residual/Jacobian assembly into the workspace buffers.
 
     Requires :func:`load_solve` to have loaded the solve's invariants.
-    Returns ``(F, J)`` as views of the workspace (``J`` is ``None``
-    when ``need_jacobian`` is false -- the modified-Newton residual
-    check skips the Jacobian scatter entirely).  Every expression
+    Returns ``(F, J)`` as views of the workspace.  Every expression
     mirrors the reference scalar assembler's operand order, and the
     ordered scatter reproduces its per-cell accumulation order, so the
     outputs are bit-identical to it.
     """
-    eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
+    eval_values(plan, ws, x, gmin, with_caps)
     fj = ws.fj
-    if need_jacobian:
-        fj[:] = 0.0
-        cells, src, sign = (plan.scatter_full_wc if with_caps
-                            else plan.scatter_full_nc)
-    else:
-        ws.F[:] = 0.0
-        cells, src, sign = (plan.scatter_f_wc if with_caps
-                            else plan.scatter_f_nc)
+    fj[:] = 0.0
+    cells, src, sign = (plan.scatter_full_wc if with_caps
+                        else plan.scatter_full_nc)
     contrib = ws.contrib[:cells.size]
     np.take(ws.vals, src, out=contrib)
     contrib *= sign
     np.add.at(fj, cells, contrib)
-    return ws.F, (ws.J if need_jacobian else None)
+    return ws.F, ws.J
 
 
 def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
-                    gmin: float, with_caps: bool,
-                    need_jacobian: bool = True):
+                    gmin: float, with_caps: bool):
     """Residual into ``ws.F``, Jacobian into the CSC ``data`` array.
 
     The residual scatter is the exact ``scatter_f_*`` pass of the dense
@@ -563,10 +545,9 @@ def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
     ``data`` buffer through emission-ordered data positions, so every
     stored entry is bit-identical to the corresponding dense ``J``
     cell.  Returns ``(F, A)`` with ``A`` the plan's
-    ``scipy.sparse.csc_matrix`` (``None`` when ``need_jacobian`` is
-    false).
+    ``scipy.sparse.csc_matrix``.
     """
-    eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
+    eval_values(plan, ws, x, gmin, with_caps)
     ws.F[:] = 0.0
     cells, src, sign = (plan.scatter_f_wc if with_caps
                         else plan.scatter_f_nc)
@@ -574,6 +555,4 @@ def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
     np.take(ws.vals, src, out=contrib)
     contrib *= sign
     np.add.at(ws.fj, cells, contrib)
-    if not need_jacobian:
-        return ws.F, None
     return ws.F, sp.assemble(ws, with_caps)

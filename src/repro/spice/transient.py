@@ -39,12 +39,10 @@ from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..units import parse_quantity
 from .dc import dc_plan
 from .engine import (
-    FastNewtonState,
     NewtonOptions,
     NewtonRequest,
     NewtonStats,
     SolveContext,
-    fast_newton_enabled,
     newton_solve,
     request_kwargs,
     run_plan,
@@ -369,7 +367,6 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     recorder = get_recorder()
     context = SolveContext(
         recorder=recorder,
-        fast=FastNewtonState() if fast_newton_enabled() else None,
         sparse=sparse_enabled(compiled.n_unknown),
         guard=GuardMonitor.from_env(),
         profile=PhaseProfiler.from_recorder(recorder),

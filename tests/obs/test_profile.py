@@ -108,13 +108,6 @@ class TestSolverWiring:
         assert phases.get("back_solve", 0.0) == 0.0
         assert set(phases) <= set(PHASES)
 
-    def test_fast_newton_splits_back_solve(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
-        breakdown = _run_and_breakdown()
-        phases = breakdown["dense"]
-        assert phases.get("factorize", 0.0) > 0.0
-        assert phases.get("back_solve", 0.0) > 0.0
-
     def test_sparse_driver_phases(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPARSE", "1")
         breakdown = _run_and_breakdown()
@@ -137,6 +130,7 @@ class TestSolverWiring:
             NewtonOptions, NewtonRequest, NewtonStats, request_solve)
 
         monkeypatch.setenv("REPRO_SPARSE", "0")  # pin the dense kernel
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
 
         def entry():
             ckt = Circuit("divider")
@@ -158,6 +152,8 @@ class TestSolverWiring:
         assert phases.get("assembly", 0.0) > 0.0
         assert phases.get("factorize", 0.0) > 0.0
         assert phases.get("scatter", 0.0) > 0.0
+        # Unguarded: no guard work, so no guard time.
+        assert phases.get("guard", 0.0) == 0.0
 
     def test_sparse_batch_driver_phases(self, monkeypatch):
         from repro.spice.batch import transient_batch
@@ -175,6 +171,57 @@ class TestSolverWiring:
         assert phases.get("factorize", 0.0) > 0.0
         assert phases.get("back_solve", 0.0) > 0.0
         assert phases.get("scatter", 0.0) > 0.0
+
+    def test_evicted_lane_solo_retries_are_profiled(self, monkeypatch):
+        """A lane evicted from the lockstep stack retries solo on the
+        scalar solver; that solve's phases must land in the scalar
+        driver's histograms like any other scalar solve."""
+        from repro.resilience import FaultInjection
+        from repro.spice.batch import transient_batch
+
+        monkeypatch.setenv("REPRO_SPARSE", "0")  # pin the dense kernel
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
+        lanes = [inverter_chain(1) for _ in range(3)]
+        with recording() as recorder, FaultInjection("lane@*:3") as fi:
+            transient_batch(lanes, "0.2ns")
+            assert fi.fired_count("lane") == 3
+            payload = recorder.metrics_payload()
+        counters = payload["counters"]
+        assert counters["spice.batch.evictions{reason=fault}"] == 3
+        # Every solve outside the stack is a solo retry: one profiled
+        # scalar solve per eviction.
+        key = PHASE_METRIC + "{driver=dense,phase=assembly}"
+        assert payload["histograms"][key]["count"] == 3
+
+    def test_sparse_batch_condition_sampling_books_to_guard(
+            self, monkeypatch):
+        """Condition estimates on the batched sparse kernel are guard
+        work, exactly as on the dense kernel and the scalar loop."""
+        import time
+
+        import repro.spice.engine as engine
+        from repro.spice.batch import transient_batch
+
+        nap = 0.02
+        calls = []
+        estimate = engine.condition_estimate_sparse
+
+        def slow_estimate(*args, **kwargs):
+            calls.append(1)
+            time.sleep(nap)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "condition_estimate_sparse",
+                            slow_estimate)
+        monkeypatch.setenv("REPRO_SPARSE", "1")  # sparse lockstep kernel
+        monkeypatch.setenv("REPRO_GUARD", "1")
+        lanes = [inverter_chain(4) for _ in range(2)]
+        with recording() as recorder:
+            transient_batch(lanes, "0.2ns")
+            payload = recorder.metrics_payload()
+        assert len(calls) >= 2
+        phases = phase_breakdown(payload["histograms"]).get("sparse_batch", {})
+        assert phases.get("guard", 0.0) >= nap * len(calls)
 
     def test_no_histograms_without_telemetry(self):
         transient(inverter_chain(2), "0.5ns")

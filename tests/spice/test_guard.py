@@ -57,13 +57,12 @@ FAST = TransientOptions(h_max_ratio=2e-2)
 
 @pytest.fixture(autouse=True)
 def pinned_backends(monkeypatch):
-    """Pin the dense full-Newton path: the divergence/parity tests
-    monkeypatch ``np.linalg.solve`` (which SuperLU bypasses) and compare
-    scalar against the dense lockstep kernel (which the fast-Newton and
-    sparse CI legs would otherwise divert).  Tests that exercise those
-    backends opt back in explicitly."""
+    """Pin the dense path: the divergence/parity tests monkeypatch
+    ``np.linalg.solve`` (which SuperLU bypasses) and compare scalar
+    against the dense lockstep kernel (which the sparse CI leg would
+    otherwise divert).  Tests that exercise the sparse backend opt
+    back in explicitly."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
-    monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
     monkeypatch.delenv(COND_ENV_VAR, raising=False)
     monkeypatch.delenv(COND_EVERY_ENV_VAR, raising=False)
@@ -323,13 +322,6 @@ class TestRungTelemetry:
         counters = rec.metrics_payload()["counters"]
         cuts = counters.get("spice.guard.rung{rung=timestep_cut}", 0)
         assert cuts == result.rejected_steps
-
-    def test_refresh_rung_under_fast_newton(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
-        with recording() as rec:
-            transient(inverter(), 2e-9, options=FAST)
-        counters = rec.metrics_payload()["counters"]
-        assert counters.get("spice.guard.rung{rung=refresh}", 0) >= 1
 
 
 class TestCleanPathIdentity:

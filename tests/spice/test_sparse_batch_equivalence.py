@@ -1,17 +1,17 @@
 """Bit-equivalence of the batched sparse kernel against the scalar path.
 
-The batched sparse driver (:mod:`repro.spice.sparse_batch`) promises
-*bit-identical* results to the scalar sparse driver -- same waveforms,
-same Newton accounting, same solver counters -- at any batch size, on
-either side of the ``auto`` dispatch cutover (forced via
-``REPRO_SPARSE=1`` below it).  These tests enforce that contract on
-randomized congruent lanes, pin the fault/eviction parity carried over
-from the dense lockstep kernel (``sparse@factorize`` recovery,
-``lane@INDEX`` eviction with a *sparse* solo retry), the fallback
-counting rules (``spice.batch.sparse_fallbacks`` counts lanes, never
-congruent batched rounds), the once-per-run fallback warning, and the
-``--fast-newton`` LU-reuse contract through the scalar sparse path
-that the serial fallback rides.
+The lockstep kernel on the sparse backend (:mod:`repro.spice.batch`,
+per-lane SuperLU over one shared symbolic analysis) promises
+*bit-identical* results to the scalar sparse driver run lane by lane
+-- same waveforms, same Newton accounting, same solver counters -- at
+any batch size, on either side of the ``auto`` dispatch cutover
+(forced via ``REPRO_SPARSE=1`` below it).  These tests enforce that
+contract on randomized congruent lanes against per-lane scalar
+``transient``/``solve_dc`` calls, pin the fault/eviction parity shared
+with the dense kernel (``sparse@factorize`` recovery, ``lane@INDEX``
+eviction with a *sparse* solo retry), the fallback counting rules
+(``spice.batch.sparse_fallbacks`` counts incongruent lanes, never
+congruent batched rounds) and the once-per-run fallback warning.
 """
 
 import numpy as np
@@ -23,23 +23,15 @@ from repro.spice import (
     NewtonOptions,
     NewtonStats,
     TransientOptions,
+    solve_dc,
     solve_dc_batch,
     transient,
     transient_batch,
 )
 from repro.spice.batch import run_plans_batched
 from repro.spice.builders import bitcell_array, delay_chain
-from repro.spice.engine import (
-    FastNewtonState,
-    NewtonRequest,
-    newton_solve,
-    request_solve,
-)
+from repro.spice.engine import NewtonRequest, request_solve
 from repro.spice.sparse import SPARSE_ENV_VAR, SPARSE_NODE_CUTOVER
-from repro.spice.sparse_batch import (
-    SPARSE_BATCH_ENV_VAR,
-    sparse_batch_enabled,
-)
 from repro.tech import default_process
 from repro.waveform import ramp
 
@@ -49,8 +41,8 @@ FAST = TransientOptions(h_max_ratio=2e-2)
 def chain_lanes(count: int = 4, stages: int = 36, fanout: int = 3):
     """Randomized congruent delay chains above the dispatch cutover.
 
-    The rng is re-seeded per call so repeated invocations hand every
-    leg (scalar, batched, serial-fallback) the *same* randomized grid.
+    The rng is re-seeded per call so repeated invocations hand both
+    legs (scalar, batched) the *same* randomized grid.
     """
     rng = np.random.default_rng(20260808)
     lanes = []
@@ -106,21 +98,23 @@ def solver_counters(recorder) -> dict:
 class TestBitIdentity:
     def test_transient_above_cutover_matches_serial_sparse(self, monkeypatch):
         """Randomized congruent lanes, auto-dispatched sparse: the
-        batched kernel and the ``REPRO_SPARSE_BATCH=0`` serial fallback
-        must produce the same bits and the same Newton accounting."""
+        batched kernel and the scalar sparse driver run lane by lane
+        must produce the same bits and the same solver counters."""
         lanes = chain_lanes()
         assert lanes[0].compile().n_unknown >= SPARSE_NODE_CUTOVER
         t_stop = 15e-12
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-        batched = transient_batch(lanes, t_stop, options=FAST)
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        serial = transient_batch(chain_lanes(), t_stop, options=FAST)
+        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
+        with recording() as rec_batched:
+            batched = transient_batch(lanes, t_stop, options=FAST)
+        with recording() as rec_serial:
+            serial = [transient(c, t_stop, options=FAST)
+                      for c in chain_lanes()]
         for s, b in zip(serial, batched):
             assert_result_identical(s, b)
+        assert solver_counters(rec_batched) == solver_counters(rec_serial)
 
     def test_matches_scalar_driver_exactly(self, monkeypatch):
         """The batched kernel vs per-lane scalar ``transient`` calls."""
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         t_stop = 15e-12
         scalar = [transient(c, t_stop, options=FAST) for c in chain_lanes()]
         batched = transient_batch(chain_lanes(), t_stop, options=FAST)
@@ -131,7 +125,6 @@ class TestBitIdentity:
         """``REPRO_SPARSE=1`` rides the batched sparse kernel on small
         lanes too; results still match the scalar (sparse) driver."""
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         t_stop = 1.5e-9
         scalar = [transient(c, t_stop, options=FAST) for c in small_lanes()]
         with recording() as rec:
@@ -145,7 +138,7 @@ class TestBitIdentity:
     def test_dc_bitcell_batch_matches_serial(self, monkeypatch):
         """The characterization-shot shape: per-lane stored patterns on
         a shared bitcell-array structure, operating points identical
-        between kernel and fallback."""
+        between the kernel and per-lane scalar ``solve_dc`` calls."""
         def lanes():
             pats = [[(i * 2654435761 + r) % 256 for r in range(4)]
                     for i in range(3)]
@@ -153,16 +146,13 @@ class TestBitIdentity:
                     for p in pats]
 
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         batched = solve_dc_batch(lanes())
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        serial = solve_dc_batch(lanes())
+        serial = [solve_dc(c) for c in lanes()]
         for b, s in zip(batched, serial):
             assert b.voltages == s.voltages
 
     def test_newton_counters_invariant_across_batch_sizes(self, monkeypatch):
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         t_stop = 1.5e-9
         references = None
         for batch_size in (1, 2, 4):
@@ -180,18 +170,8 @@ class TestBitIdentity:
 
 
 class TestFallbackCounting:
-    def test_knob_off_counts_every_lane(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        assert not sparse_batch_enabled()
-        with recording() as rec:
-            solve_dc_batch(small_lanes(4))
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.sparse_fallbacks"] == 4
-
     def test_incongruent_sparse_lanes_count_per_lane(self, monkeypatch):
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         lanes = small_lanes(2) + [delay_chain(2, 2)]
         with recording() as rec:
             solve_dc_batch(lanes)
@@ -201,7 +181,6 @@ class TestFallbackCounting:
 
     def test_congruent_batch_never_counts_fallbacks(self, monkeypatch):
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         with recording() as rec:
             solve_dc_batch(small_lanes(4))
         counters = rec.metrics_payload()["counters"]
@@ -214,7 +193,10 @@ class TestFallbackCounting:
 
         import repro.obs.manifest as manifest
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
+
+        def incongruent():
+            return small_lanes(1) + [delay_chain(2, 2)]
+
         # Any earlier CLI ``main()`` run in this process pins a stderr
         # handler on the ``repro`` logger and stops propagation
         # (repro.log.setup_logging); caplog captures at the root, so
@@ -225,8 +207,8 @@ class TestFallbackCounting:
         monkeypatch.setattr(manifest, "_RUN_GENERATION",
                             manifest._RUN_GENERATION + 1)
         with caplog.at_level("DEBUG", logger="repro.spice.batch"):
-            solve_dc_batch(small_lanes(2))
-            solve_dc_batch(small_lanes(2))
+            solve_dc_batch(incongruent())
+            solve_dc_batch(incongruent())
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         debugs = [r for r in caplog.records if r.levelname == "DEBUG"
                   and "serially" in r.getMessage()]
@@ -238,7 +220,7 @@ class TestFallbackCounting:
         monkeypatch.setattr(manifest, "_RUN_GENERATION",
                             manifest._RUN_GENERATION + 1)
         with caplog.at_level("DEBUG", logger="repro.spice.batch"):
-            solve_dc_batch(small_lanes(2))
+            solve_dc_batch(incongruent())
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
 
@@ -249,7 +231,6 @@ class TestFaultParity:
         backend: the retried waveform is bit-identical to the scalar
         sparse driver (a dense retry would only agree to tolerance)."""
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         t_stop = 1.5e-9
         scalar = [transient(c, t_stop, options=FAST) for c in small_lanes(3)]
         with recording() as rec, FaultInjection("lane@1:1") as fi:
@@ -264,7 +245,6 @@ class TestFaultParity:
         """``sparse@factorize`` into a batched lane walks the same
         nudge rung as the scalar ladder; every lane still converges."""
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         clean = solve_dc_batch(small_lanes(3))
         with recording() as rec, FaultInjection("sparse@factorize:1") as fi:
             faulted = solve_dc_batch(small_lanes(3))
@@ -277,7 +257,6 @@ class TestFaultParity:
 
     def test_persistent_factorization_fault_fails_cleanly(self, monkeypatch):
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
 
         def entries():
             out = []
@@ -297,28 +276,3 @@ class TestFaultParity:
         for outcome in outcomes:
             assert isinstance(outcome, ConvergenceError)
             assert "singular" in str(outcome)
-
-
-class TestLuReuseThroughSparse:
-    def test_serial_sparse_fallback_reuses_retained_lu(self, monkeypatch):
-        """Satellite contract: ``--fast-newton`` LU reuse holds on the
-        sparse path -- repeated solves under one Jacobian key must not
-        refactorize per call (``spice.sparse.factorizations`` pins it,
-        the counter every sparse factorization increments)."""
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        compiled = small_lanes(1)[0].compile()
-        known = compiled.known_voltages(0.0)
-        fast = FastNewtonState()
-        options = NewtonOptions()
-        x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
-        with recording() as rec:
-            for _ in range(3):
-                x = newton_solve(compiled, x, known, options=options,
-                                 sparse=True, fast=fast)
-        assert fast.refactorized >= 1
-        assert fast.reused >= 1
-        counters = rec.metrics_payload()["counters"]
-        # Reused iterations skip the factorization entirely.
-        total_iters = counters["spice.newton.iterations"]
-        assert counters["spice.sparse.factorizations"] == \
-            total_iters - fast.reused

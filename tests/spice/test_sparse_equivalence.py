@@ -9,8 +9,7 @@ The sparse backend promises, versus the default dense path:
 * **tolerance-gated solves** -- SuperLU replaces LAPACK, so Newton
   steps match to machine precision but not bit-for-bit: waveforms must
   track the dense solution within 1 nV, measured crossings within
-  1 fs, and the Newton/retry accounting must be unchanged (the same
-  contract ``REPRO_FAST_NEWTON`` is held to);
+  1 fs, and the Newton/retry accounting must be unchanged;
 * **deterministic dispatch** -- ``auto`` picks exactly one backend per
   circuit from its unknown count, so default-mode results never mix.
 """
@@ -185,18 +184,6 @@ class TestSolveParity:
         assert sparse.rejected_steps == base.rejected_steps
         assert len(sparse.times) == len(base.times)
         assert float(np.abs(sparse.times - base.times).max()) <= 1e-15
-
-    def test_fast_newton_composes_with_sparse(self, monkeypatch):
-        """The two opt-in modes stack: sparse fast-Newton must stay
-        within the fast-Newton tolerance contract of the dense run."""
-        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-        monkeypatch.delenv("REPRO_FAST_NEWTON", raising=False)
-        base = transient(switching_decoder(), 1.2e-9, options=FAST)
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
-        both = transient(switching_decoder(), 1.2e-9, options=FAST)
-        gap = waveform_gap(base, both, ("wl0", "wl1"), 1.2e-9)
-        assert gap <= 1e-9
 
 
 class TestDispatchTelemetry:
